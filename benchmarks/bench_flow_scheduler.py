@@ -20,7 +20,7 @@ bounded shuffle window (128 active nodes) inside clusters of 512 to
 10,000 nodes. Model work is constant, so events/sec staying flat is
 direct evidence the admission/completion/cancellation hot loops carry
 no O(cluster) term — only the once-per-wave reachable scan touches all
-nodes, and that is a single vectorized pass over the liveness columns.
+nodes.
 
 A third sweep is the *heavy-shuffle* case: one ring component of
 window * fanin concurrent flows (3k-8k), completions streaming in, on
@@ -95,7 +95,10 @@ def run_scenario(scheduler: str, nodes: int, waves: int,
                  window: int | None = None, fanin: int = FANIN) -> dict:
     """One full shuffle-wave scenario under the named scheduler."""
     previous = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = scheduler
+    if scheduler == "incremental":  # the default: leave the knob unset
+        os.environ.pop("REPRO_SCHEDULER", None)
+    else:
+        os.environ["REPRO_SCHEDULER"] = scheduler
     try:
         sim = Simulator()
         cluster = Cluster(sim, ClusterSpec(num_nodes=nodes, num_racks=2, seed=7))
@@ -126,7 +129,7 @@ def run_scenario(scheduler: str, nodes: int, waves: int,
 
 def run_scaling(nodes: int, waves: int = 3, window: int = SCALING_WINDOW) -> dict:
     """Fixed shuffle window inside an ``nodes``-node cluster, default
-    (columnar) scheduler: constant model work, growing cluster."""
+    (incremental) scheduler: constant model work, growing cluster."""
     sim = Simulator()
     cluster = Cluster(sim, ClusterSpec(num_nodes=nodes, num_racks=2, seed=7))
     wave_ends: list = []

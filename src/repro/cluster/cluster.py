@@ -23,7 +23,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.cluster.node import GB, MB, Node, NodeSpec, Rack
-from repro.sim.columns import LivenessColumns, columnar_enabled
 from repro.sim.core import Event, SimulationError, Simulator
 from repro.sim.flows import Flow, FlowScheduler, LinkResource
 
@@ -31,26 +30,23 @@ __all__ = ["Cluster", "ClusterSpec", "flow_scheduler_class"]
 
 
 def flow_scheduler_class():
-    """The flow scheduler implementation to use, selected by the
-    ``REPRO_SCHEDULER`` environment variable: ``columnar`` (vectorized
-    refill over flow columns — the default when the columnar data plane
-    is on), ``incremental`` (the scalar coalescing scheduler, also the
-    default under ``REPRO_DATA_PLANE=reference``), or ``reference`` for
-    the eager full-recompute seed implementation (equivalence tests,
-    before/after benchmarks). All three are bit-identical."""
+    """The flow scheduler implementation to use: the incremental
+    :class:`~repro.sim.flows.FlowScheduler` by default, or the one the
+    ``REPRO_SCHEDULER`` environment variable names — ``reference`` (the
+    eager full-recompute seed implementation, kept as the equivalence
+    oracle) or ``columnar`` (vectorized refill over flow columns). All
+    three are bit-identical."""
     choice = os.environ.get("REPRO_SCHEDULER", "").strip().lower()
+    if choice == "":
+        return FlowScheduler
     if choice in ("reference", "eager"):
         from repro.sim.flows_reference import ReferenceFlowScheduler
 
         return ReferenceFlowScheduler
-    if choice == "incremental":
-        return FlowScheduler
-    if choice == "columnar" or (choice == "" and columnar_enabled()):
+    if choice == "columnar":
         from repro.sim.flows_columnar import ColumnarFlowScheduler
 
         return ColumnarFlowScheduler
-    if choice == "":
-        return FlowScheduler
     raise SimulationError(f"unknown REPRO_SCHEDULER {choice!r}")
 
 
@@ -90,17 +86,10 @@ class Cluster:
         self.rng = np.random.default_rng(self.spec.seed)
         self.core_link = LinkResource("core-switch", self.spec.core_bandwidth)
         self.racks = [Rack(i) for i in range(self.spec.num_racks)]
-        #: Dense per-node_id liveness arrays; every node dual-writes
-        #: its alive/network_up flips here (repro.sim.columns). The
-        #: mirror is maintained in both data-plane modes (writes are
-        #: rare fault events); the mode only selects who *reads* it.
-        self.columns = LivenessColumns(self.spec.num_nodes)
-        self._columnar = columnar_enabled()
         self.nodes: list[Node] = []
         for i in range(self.spec.num_nodes):
             rack = self.racks[i % self.spec.num_racks]
             node = Node(i, rack, self.spec.node)
-            node._liveness = self.columns
             rack.add(node)
             self.nodes.append(node)
         #: Listeners invoked as fn(node) when a node dies or loses network.
@@ -116,21 +105,10 @@ class Cluster:
         return self.nodes[node_id]
 
     def alive_nodes(self) -> list[Node]:
-        if self._columnar:
-            nodes = self.nodes
-            return [nodes[i] for i in np.flatnonzero(self.columns.alive)]
         return [n for n in self.nodes if n.alive]
 
     def reachable_nodes(self) -> list[Node]:
-        if self._columnar:
-            nodes = self.nodes
-            return [nodes[i] for i in np.flatnonzero(self.columns.reachable)]
         return [n for n in self.nodes if n.reachable]
-
-    def reachable_mask(self) -> np.ndarray:
-        """Per-``node_id`` reachability as a bool array (read-only by
-        convention); the form batched ticks and fault pickers consume."""
-        return self.columns.reachable
 
     def same_rack(self, a: Node, b: Node) -> bool:
         return a.rack is b.rack

@@ -39,7 +39,7 @@ unseeded randomness, and everything it does must flow through the
 simulator — the conformance suite (``tests/test_policy_registry.py``)
 re-runs every registered policy under every fault kind and requires
 byte-identical trace digests across reruns and across the
-``REPRO_DATA_PLANE`` / ``REPRO_SCHEDULER`` implementation matrix.
+``REPRO_SCHEDULER`` flow-scheduler implementations.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class PolicySpec:
     module: str = ""
 
 
-#: Name -> spec, in registration order. Seed policies register first
-#: (``seeds`` is imported before its siblings), so the first five names
-#: are always yarn, alg, sfm, alm, iss — the historical rotation order.
+#: Name -> spec, in discovery order (see :func:`_discover`): the first
+#: five names are always yarn, alg, sfm, alm, iss — the historical
+#: rotation order.
 _REGISTRY: dict[str, PolicySpec] = {}
 _discovered = False
 
@@ -116,6 +116,20 @@ def _discover() -> None:
             importlib.import_module(ep.value.partition(":")[0])
     except Exception:
         pass
+    # A sibling module imported directly before discovery registers
+    # early; re-rank so the name order never depends on import order:
+    # seeds, then sibling modules alphabetically, then third parties
+    # (registration order within each, as the sort is stable).
+
+    def rank(spec: PolicySpec) -> tuple[int, str]:
+        if spec.seed:
+            return (0, "")
+        package, _, module = spec.module.rpartition(".")
+        return (1, module) if package == __name__ else (2, "")
+
+    ordered = sorted(_REGISTRY.values(), key=rank)
+    _REGISTRY.clear()
+    _REGISTRY.update((spec.name, spec) for spec in ordered)
 
 
 def policy_names() -> tuple[str, ...]:

@@ -11,9 +11,9 @@ robust to the outlier itself (quantiles don't move when one value
 explodes) and self-calibrating to each phase's natural spread.
 
 Only the cutoff computation changes — the scan cadence, the estimate
-kernels (scalar and columnar), the duplicate cap and the ``speculation``
-trace record are all inherited, so the detector slots into the same
-digest-pinned machinery the stock scanner uses.
+scan, the duplicate cap and the ``speculation`` trace record are all
+inherited, so the detector slots into the same digest-pinned machinery
+the stock scanner uses.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ __all__ = ["QuantilePolicy", "QuantileSpeculator", "make_quantile",
 
 
 def quantile(values: list[float], q: float) -> float:
-    """Linear-interpolation quantile (numpy's default method), kept in
-    pure Python so the detector works on the scalar data plane too."""
+    """Linear-interpolation quantile (numpy's default method) in pure
+    Python, over the plain float lists the estimate scan produces."""
     if not values:
         raise SimulationError("quantile of empty sample")
     if not 0.0 <= q <= 1.0:

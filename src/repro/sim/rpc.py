@@ -12,7 +12,8 @@ When configured with loss/delay probabilities the channel becomes
 derived by hashing ``(seed, label)`` with SHA-256 (the same trick as
 :mod:`repro.sim.backoff`), so a message's fate is a pure function of
 its identity: independent of event ordering, identical across the
-scalar and columnar data planes, and bit-reproducible across reruns.
+kernel and flow-scheduler implementations, and bit-reproducible across
+reruns.
 
 Heartbeats are drop-only (a delayed heartbeat is indistinguishable
 from a dropped one at the liveness scan's granularity); point-to-point
@@ -71,8 +72,7 @@ class RpcChannel:
         """Whether this node's heartbeat at time ``now`` is lost.
 
         Keyed on (node_id, time) rather than a stream position, so the
-        scalar per-NM periodics and the columnar batched stamp agree
-        bit-for-bit.
+        fate does not depend on the order the per-NM periodics fire in.
         """
         if not self.fallible or self.drop_prob <= 0.0:
             return False

@@ -1,11 +1,11 @@
 """The differential runner: scenario corpus x implementation matrix.
 
 The repo carries two implementations of its DES kernel
-(``REPRO_KERNEL`` default/reference) and two of its max-min flow
-scheduler (``REPRO_SCHEDULER`` incremental/reference), kept byte-
-equivalent by construction. This module is the enforcement: every
-scenario runs under every kernel x scheduler pair through the
-:class:`~repro.runner.TrialRunner` fan-out, and any digest divergence
+(``REPRO_KERNEL`` default/reference) and three of its max-min flow
+scheduler (``REPRO_SCHEDULER`` default incremental, ``reference`` and
+``columnar``), kept byte-equivalent by construction. This module is the
+enforcement: every scenario runs under every combination in
+:data:`COMBOS` through the :class:`~repro.runner.TrialRunner` fan-out, and any digest divergence
 is a hard failure that names the scenario, its seed, and the **first
 diverging trace event** — located by re-running the two disagreeing
 combinations in-process and binary-searching the event streams
@@ -51,10 +51,10 @@ COMBOS: tuple[tuple[str, str], ...] = (
     ("reference", "default"),
     ("default", "reference"),
     ("reference", "reference"),
-    # Pins the incremental scalar flow scheduler against the columnar
-    # one under the default (columnar) data plane; the reference eager
-    # scheduler is already covered by the rows above.
-    ("default", "incremental"),
+    # Pins the columnar flow scheduler against the goldens; the default
+    # incremental and the reference eager schedulers are covered by the
+    # rows above.
+    ("default", "columnar"),
 )
 
 #: The --quick budget still crosses both axes at once: one combo with

@@ -90,6 +90,92 @@ class TestAllocation:
         assert rm.available_mb() == 8192 - 2048
 
 
+class _PickEveryRequestRM(ResourceManager):
+    """The matcher without the free-memory bound: every pending request
+    goes through ``_pick_node``."""
+
+    def _match(self):
+        granted = []
+        for req in self._pending:
+            if req.cancelled:
+                self._drop_reservation(req)
+                granted.append(req)
+                continue
+            nm = self._pick_node(req)
+            if nm is None:
+                self._maybe_reserve(req)
+                continue
+            self._drop_reservation(req)
+            granted.append(req)
+            self._deliver(req, nm.allocate(req.memory_mb))
+        for req in granted:
+            self._pending.remove(req)
+
+
+def _usable_free_mb(rm):
+    return max((nm.available_mb for nm in rm.node_managers.values()
+                if not nm.lost and nm.node.reachable), default=-1)
+
+
+def _burst_on_full_cluster(rm_cls, max_reserved_nodes):
+    """Fill six 8 GB nodes to 2 GB free each, queue a burst of 4 GB
+    (too big for any node) and 2 GB asks, then drain the fillers one at
+    a time. Returns the grant log, the final rng state and every
+    ``(requested_mb, usable_free_mb)`` pair seen by ``_pick_node``."""
+    picks = []
+
+    class Recording(rm_cls):
+        def _pick_node(self, req):
+            picks.append((req.memory_mb, _usable_free_mb(self)))
+            return super()._pick_node(req)
+
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterSpec(num_nodes=6, num_racks=2, seed=11,
+                                       node=NodeSpec(memory_mb=8192)))
+    rm = Recording(sim, cluster, YarnConfig(nm_memory_fraction=1.0,
+                                            max_reserved_nodes=max_reserved_nodes))
+    grants = []
+
+    def ask(label, memory_mb, priority):
+        grant = rm.request_container(memory_mb, priority=priority)
+        grant.callbacks.append(
+            lambda ev: grants.append((sim.now, label, ev.value.node.node_id)))
+        return grant
+
+    fillers = [ask(f"fill{i}", 3072, 5.0) for i in range(12)]
+
+    def driver():
+        yield sim.all_of(fillers)
+        assert _usable_free_mb(rm) == 2048
+        for i in range(8):
+            ask(f"big{i}", 4096, 10.0 - i % 3)
+            ask(f"small{i}", 2048, 20.0)
+        for grant in fillers:
+            yield sim.timeout(3.0)
+            rm.release_container(grant.value)
+
+    sim.process(driver(), name="driver")
+    sim.run(until=200.0)
+    return grants, cluster.rng.bit_generator.state, picks
+
+
+class TestMatchBound:
+    @pytest.mark.parametrize("max_reserved_nodes", [0, 2])
+    def test_oversized_requests_skip_pick_and_keep_grants(self, max_reserved_nodes):
+        grants, rng_state, picks = _burst_on_full_cluster(ResourceManager,
+                                                          max_reserved_nodes)
+        # Never scan the nodes for a request no usable node can fit.
+        assert picks and all(mem <= free for mem, free in picks)
+        assert any(label.startswith("big") for _, label, _ in grants)
+        # Same grants (time, request, node) and the same rng stream as
+        # picking for every request.
+        ref_grants, ref_rng_state, ref_picks = _burst_on_full_cluster(
+            _PickEveryRequestRM, max_reserved_nodes)
+        assert any(mem > free for mem, free in ref_picks)
+        assert grants == ref_grants
+        assert rng_state == ref_rng_state
+
+
 class TestNodeManager:
     def test_over_allocation_rejected(self):
         sim, cluster, rm = make_env(num_nodes=1, memory_mb=2048)
