@@ -29,7 +29,6 @@ Durability properties:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sqlite3
@@ -68,13 +67,6 @@ CREATE TABLE IF NOT EXISTS trials (
     PRIMARY KEY (campaign_id, seed)
 );
 """
-
-
-def campaign_digest(spec: dict[str, Any]) -> str:
-    """Content hash of a campaign *spec* document (not of its trial
-    family — see :meth:`CampaignStore.register` for that distinction)."""
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 class CampaignStore:

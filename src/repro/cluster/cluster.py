@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -161,14 +160,6 @@ class Cluster:
         if write_dst_disk:
             res.append(dst.disk)
         return self.flows.transfer(size, res, f"{name}:{src.name}->{dst.name}")
-
-    def net_transfer_many(self, requests: Iterable[dict]) -> list[Flow]:
-        """Start several :meth:`net_transfer` calls as one batch (e.g.
-        an HDFS pipeline or a recovery fan-out): each request is a dict
-        of ``net_transfer`` keyword arguments. The whole batch shares a
-        single progress advance and one deferred rate recompute."""
-        with self.flows.batch():
-            return [self.net_transfer(**req) for req in requests]
 
     def compute(self, node: Node, seconds: float) -> Event:
         """CPU work: containers own their cores, so compute is a plain

@@ -262,10 +262,16 @@ class TestStreamingDigest:
     whole-trace JSON document (the pre-streaming definition, still used
     by ``repro.runner.trace_digest`` for foreign trace-shaped objects)."""
 
-    def test_matches_legacy_whole_trace_encoding(self, result):
+    @pytest.mark.parametrize("trace_detail", [False, True], ids=["default", "trace_detail"])
+    def test_matches_legacy_whole_trace_encoding(self, trace_detail):
         import hashlib
 
-        trace = result.trace
+        rt = make_runtime(tiny_workload(reducers=2, reduce_cpu=0.08),
+                          trace_detail=trace_detail)
+        kill_reduce_at_progress(0.8).install(rt)
+        trace = rt.run().trace
+        if trace_detail:
+            assert trace.count("task_progress") and trace.count("flow_done")
         payload = {
             "events": trace_records(trace),
             "series": {name: points for name, points in trace.series.items()},
@@ -292,46 +298,3 @@ class TestStreamingDigest:
         blob = json.dumps({"events": [], "series": {}},
                           sort_keys=True, separators=(",", ":"), default=str)
         assert trace.digest() == hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class TestCountOnlyMode:
-    """REPRO_TRACE_COUNT_ONLY: designated kinds keep counts (and fire
-    listeners) without storing per-event objects."""
-
-    def test_count_only_kind_counted_not_stored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_COUNT_ONLY", "hb, spam")
-        sim = Simulator()
-        trace = Trace(sim)
-        seen = []
-        trace.subscribe("hb", seen.append)
-        for _ in range(3):
-            trace.log("hb", node="n1")
-        trace.log("real", a=1)
-        assert trace.count("hb") == 3
-        assert trace.of_kind("hb") == []
-        assert len(trace.events) == 1
-        assert len(seen) == 3  # listeners still fire for count-only kinds
-        summary = trace.summary()
-        assert summary["kinds"]["hb"] == 3
-        assert summary["kinds"]["real"] == 1
-        assert summary["events"] == 1
-
-    def test_digest_excludes_count_only_kinds(self, monkeypatch):
-        sim = Simulator()
-        monkeypatch.setenv("REPRO_TRACE_COUNT_ONLY", "noise")
-        noisy = Trace(sim)
-        noisy.log("keep", a=1)
-        noisy.log("noise", b=2)
-        noisy.log("keep", a=2)
-        monkeypatch.delenv("REPRO_TRACE_COUNT_ONLY")
-        quiet = Trace(sim)
-        quiet.log("keep", a=1)
-        quiet.log("keep", a=2)
-        assert noisy.digest() == quiet.digest()
-
-    def test_default_is_full_fidelity(self):
-        sim = Simulator()
-        trace = Trace(sim)
-        trace.log("hb", node="x")
-        assert [e.kind for e in trace.events] == ["hb"]
-        assert trace.count("hb") == 1

@@ -126,11 +126,10 @@ class TestTrialRunner:
 
     def test_cache_keyed_by_implementation_mode(self, tmp_path, monkeypatch):
         """A cached payload must never leak across REPRO_KERNEL /
-        REPRO_SCHEDULER / REPRO_TRACE_COUNT_ONLY selections: the mode
-        environment is part of the memoization key, so swapping an
-        implementation re-executes instead of replaying the other
-        mode's trace digest."""
-        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_TRACE_COUNT_ONLY"):
+        REPRO_SCHEDULER selections: the mode environment is part of the
+        memoization key, so swapping an implementation re-executes
+        instead of replaying the other mode's trace digest."""
+        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
             monkeypatch.delenv(var, raising=False)
         runner = TrialRunner(jobs=1, cache_dir=tmp_path, verify=False)
 
@@ -138,8 +137,8 @@ class TestTrialRunner:
         assert not baseline[0].cached
         assert runner.run("mode", _square_trial, [5])[0].cached
 
-        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER", "REPRO_TRACE_COUNT_ONLY"):
-            monkeypatch.setenv(var, "reference" if var != "REPRO_TRACE_COUNT_ONLY" else "1")
+        for var in ("REPRO_KERNEL", "REPRO_SCHEDULER"):
+            monkeypatch.setenv(var, "reference")
             fresh = runner.run("mode", _square_trial, [5])
             assert not fresh[0].cached, f"{var} leaked through the trial cache"
             assert runner.run("mode", _square_trial, [5])[0].cached

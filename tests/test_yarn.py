@@ -98,14 +98,11 @@ class _PickEveryRequestRM(ResourceManager):
         granted = []
         for req in self._pending:
             if req.cancelled:
-                self._drop_reservation(req)
                 granted.append(req)
                 continue
             nm = self._pick_node(req)
             if nm is None:
-                self._maybe_reserve(req)
                 continue
-            self._drop_reservation(req)
             granted.append(req)
             self._deliver(req, nm.allocate(req.memory_mb))
         for req in granted:
@@ -117,7 +114,7 @@ def _usable_free_mb(rm):
                 if not nm.lost and nm.node.reachable), default=-1)
 
 
-def _burst_on_full_cluster(rm_cls, max_reserved_nodes):
+def _burst_on_full_cluster(rm_cls):
     """Fill six 8 GB nodes to 2 GB free each, queue a burst of 4 GB
     (too big for any node) and 2 GB asks, then drain the fillers one at
     a time. Returns the grant log, the final rng state and every
@@ -132,8 +129,7 @@ def _burst_on_full_cluster(rm_cls, max_reserved_nodes):
     sim = Simulator()
     cluster = Cluster(sim, ClusterSpec(num_nodes=6, num_racks=2, seed=11,
                                        node=NodeSpec(memory_mb=8192)))
-    rm = Recording(sim, cluster, YarnConfig(nm_memory_fraction=1.0,
-                                            max_reserved_nodes=max_reserved_nodes))
+    rm = Recording(sim, cluster, YarnConfig(nm_memory_fraction=1.0))
     grants = []
 
     def ask(label, memory_mb, priority):
@@ -160,17 +156,15 @@ def _burst_on_full_cluster(rm_cls, max_reserved_nodes):
 
 
 class TestMatchBound:
-    @pytest.mark.parametrize("max_reserved_nodes", [0, 2])
-    def test_oversized_requests_skip_pick_and_keep_grants(self, max_reserved_nodes):
-        grants, rng_state, picks = _burst_on_full_cluster(ResourceManager,
-                                                          max_reserved_nodes)
+    def test_oversized_requests_skip_pick_and_keep_grants(self):
+        grants, rng_state, picks = _burst_on_full_cluster(ResourceManager)
         # Never scan the nodes for a request no usable node can fit.
         assert picks and all(mem <= free for mem, free in picks)
         assert any(label.startswith("big") for _, label, _ in grants)
         # Same grants (time, request, node) and the same rng stream as
         # picking for every request.
         ref_grants, ref_rng_state, ref_picks = _burst_on_full_cluster(
-            _PickEveryRequestRM, max_reserved_nodes)
+            _PickEveryRequestRM)
         assert any(mem > free for mem, free in ref_picks)
         assert grants == ref_grants
         assert rng_state == ref_rng_state
