@@ -14,7 +14,8 @@ Two kernels run the same workload:
   (``REPRO_KERNEL=reference``) — the original baseline, swept only at
   <= 1024 nodes (``--smoke`` runs it at any size over a shorter
   horizon).
-- ``pooled``: the pooled/batched default kernel.
+- ``pooled``: the default kernel (pooled timeouts, heap-root-replace
+  ticks for pure periodics, one run loop).
 
 Speedups are only admissible because the trace digests are
 byte-identical across both — same events, same series, same ordering.

@@ -28,8 +28,13 @@ time once the flow scheduler is incremental):
   (binary heaps cannot remove arbitrary entries); when stale entries
   exceed half the heap the kernel rebuilds it in place, bounding the
   memory and pop-cost of cancel-heavy workloads.
-- **Locals-bound run loop** — :meth:`Simulator.run` binds the heap and
-  ``heappop`` to locals and inlines :meth:`Simulator.step`.
+- **One locals-bound run loop** — :meth:`Simulator.run` binds the heap
+  and the heap ops to locals, inlines :meth:`Simulator.step`, checks the
+  ``until`` event and the ``until`` time once per event, and ticks a
+  started ``pure=True`` periodic by replacing the heap root in place
+  (one sift, no pop + push, no ``_process`` dispatch). There is no
+  same-instant batch path: the RM's impure ``rm-liveness`` tick shares
+  every NM heartbeat instant, so a batch would abort at every instant.
 
 Set ``REPRO_KERNEL=reference`` to construct simulators with pooling
 disabled and ``periodic`` falling back to a plain generator loop — the
@@ -43,7 +48,7 @@ import heapq
 import os
 import sys
 from collections.abc import Callable, Generator, Iterable
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import Any
 
 __all__ = [
@@ -442,9 +447,7 @@ class Periodic(Event):
     def cancel(self) -> None:
         """Stop the wakeups; the pending heap entry is lazily discarded."""
         self._cancelled = True
-        if self._fast:
-            self._fast = False
-            self.sim._nfast -= 1
+        self._fast = False
 
     def _process(self) -> None:
         # The run loop short-circuits started pure periodics before they
@@ -462,15 +465,10 @@ class Periodic(Event):
                 self._processed = True
                 return
             # Started, live, pure: from now on the run loop may tick
-            # this event via the root-replace / batch fast paths.
-            if self.pure:
-                self._fast = True
-                self.sim._nfast += 1
+            # this event by replacing the heap root in place.
+            self._fast = self.pure
         elif self.fn() is False:
             self._processed = True
-            if self._fast:
-                self._fast = False
-                self.sim._nfast -= 1
             return
         sim = self.sim
         sim._seq = seq = sim._seq + 1
@@ -609,20 +607,12 @@ class Simulator:
     # The run loop stores _now/_seq once per event; slot storage keeps
     # those off a dict lookup.
     __slots__ = ("_now", "_heap", "_seq", "_active_process",
-                 "_free_timeouts", "_stale", "_pooling", "_nfast",
-                 "_batch_abort")
+                 "_free_timeouts", "_stale", "_pooling")
 
     #: Compaction threshold: rebuild the heap once at least this many
     #: cancelled timeouts are buried in it *and* they outnumber the live
     #: entries. Small heaps are never worth rebuilding.
     COMPACT_MIN_STALE = 64
-
-    #: Batch-tick threshold: the same-instant batch path (one heap scan
-    #: + one heapify per instant instead of one heapreplace sift per
-    #: tick) engages only when at least this many started pure periodics
-    #: are live *and* they make up at least half the heap — otherwise
-    #: the scan would cost more than the sifts it saves.
-    BATCH_MIN_FAST = 32
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -634,15 +624,6 @@ class Simulator:
         #: Cancelled-but-still-heaped timeout count (lazy deletion debt).
         self._stale = 0
         self._pooling = not _reference_kernel()
-        #: Live started-pure-periodic count; gates the batch tick path.
-        self._nfast = 0
-        #: Instant whose batch tick aborted (an impure event shares it).
-        #: Every later event at this instant skips the batch attempt:
-        #: without this, each of an n-member cohort retries the O(heap)
-        #: scan only to hit the same abort — O(n^2) per shared instant.
-        #: Time is monotonic, so a stale value can never match again;
-        #: events appended mid-instant see the abort already cached.
-        self._batch_abort = -1.0
 
     @property
     def now(self) -> float:
@@ -753,64 +734,6 @@ class Simulator:
         self._now = when
         event._process()
 
-    def _batch_tick(self, heap: list, t: float) -> bool:
-        """Tick every started pure periodic due at instant ``t`` in one
-        pass: one heap scan, callbacks in sequence order, one O(n)
-        ``heapify`` — instead of one heapreplace sift per tick.
-
-        Sequence-identical to ticking them one at a time off the heap
-        root: at a single instant the pop order of the cohort is its
-        sequence order (equal time and priority), each tick claims the
-        next sequence number for its rescheduled entry, and pure
-        callbacks cannot schedule anything that would interleave. Any
-        *other* event sharing the instant could interleave, so the batch
-        aborts (returns ``False``, heap untouched) and the caller falls
-        back to the one-at-a-time path; dead wakeups of cancelled
-        periodics are the exception — a pop would discard them with no
-        observable effect, and the scan discards them the same way.
-
-        On an exception from a callback the heap is left at the
-        pre-instant state; resuming ``run()`` after a mid-instant
-        failure is as undefined as it always was.
-        """
-        live: list = []
-        cohort: list = []
-        keep = live.append
-        take = cohort.append
-        for entry in heap:
-            if entry[0] != t:
-                keep(entry)
-            elif entry[3]._fast:
-                take(entry)
-            elif type(entry[3]) is Periodic and entry[3]._cancelled:
-                entry[3]._processed = True
-            else:
-                self._batch_abort = t
-                return False
-        cohort.sort()
-        self._now = t
-        seq = self._seq
-        normal = NORMAL
-        for entry in cohort:
-            ev = entry[3]
-            if ev._cancelled:
-                # Cancelled by an earlier member of this same instant;
-                # a pop would discard it without claiming a sequence
-                # number, so do exactly that.
-                ev._processed = True
-                continue
-            self._seq = seq = seq + 1
-            keep((t + ev.interval, normal, seq, ev))
-            if ev.fn() is False:
-                ev._cancelled = True
-                ev._fast = False
-                self._nfast -= 1
-            if self._seq != seq:
-                raise _impure_tick(ev)
-        heap[:] = live
-        heapify(heap)
-        return True
-
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the heap drains, ``until`` time passes, or an
         ``until`` event triggers (returning its value).
@@ -839,106 +762,37 @@ class Simulator:
         # Hot loop: locals-bound heap + heap ops, step() inlined, and
         # started pure periodics ticked by replacing the heap root in
         # place (heapreplace: one sift, no pop+push, no _process
-        # dispatch). Three specialisations keep per-event stop checks
-        # out of the variants that don't need them. _compact mutates
-        # self._heap in place, so the local alias stays valid.
+        # dispatch). Without ``until`` the stop checks never fire: a
+        # heap holding only live periodics spins forever, exactly as
+        # the equivalent while-True generator loops would. _compact
+        # mutates self._heap in place, so the local alias stays valid.
         heap = self._heap
         normal = NORMAL
-        batch_min = self.BATCH_MIN_FAST
-        if stop_event is not None:
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if stop_event._processed:
-                        return stop_event.value
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                if stop_event._processed:
-                    return stop_event.value
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
-                event._process()
-        elif stop_time != float("inf"):
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if item[0] > stop_time:
-                        self._now = stop_time
-                        return None
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                if item[0] > stop_time:
-                    self._now = stop_time
-                    return None
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
-                event._process()
-        else:
-            # Drain-everything: no stop checks at all. A heap holding
-            # only live periodics would spin forever here — exactly as
-            # the equivalent while-True generator loops would.
-            while heap:
-                item = heap[0]
-                event = item[3]
-                if event._fast:
-                    if (self._nfast >= batch_min
-                            and self._nfast * 2 >= len(heap)
-                            and item[0] != self._batch_abort
-                            and self._batch_tick(heap, item[0])):
-                        continue
-                    self._now = when = item[0]
-                    self._seq = seq = self._seq + 1
-                    heapreplace(heap, (when + event.interval, normal, seq, event))
-                    if event.fn() is False:
-                        event._cancelled = True
-                        event._fast = False
-                        self._nfast -= 1
-                    if self._seq != seq:
-                        raise _impure_tick(event)
-                    continue
-                when, _, _, event = heappop(heap)
-                # Drop the peek alias before dispatch: a live reference
-                # to the popped entry would fail the recycle refcount
-                # check and quietly disable Timeout pooling.
-                del item
-                self._now = when
-                event._process()
+        while heap:
+            item = heap[0]
+            if stop_event is not None and stop_event._processed:
+                return stop_event.value
+            if item[0] > stop_time:
+                self._now = stop_time
+                return None
+            event = item[3]
+            if event._fast:
+                self._now = when = item[0]
+                self._seq = seq = self._seq + 1
+                heapreplace(heap, (when + event.interval, normal, seq, event))
+                if event.fn() is False:
+                    event._cancelled = True
+                    event._fast = False
+                if self._seq != seq:
+                    raise _impure_tick(event)
+                continue
+            when, _, _, event = heappop(heap)
+            # Drop the peek alias before dispatch: a live reference
+            # to the popped entry would fail the recycle refcount
+            # check and quietly disable Timeout pooling.
+            del item
+            self._now = when
+            event._process()
         return self._run_drained(stop_event, stop_time)
 
     def _run_drained(self, stop_event: Event | None, stop_time: float) -> Any:

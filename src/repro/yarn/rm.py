@@ -9,6 +9,7 @@ tick walks the NMs in registration order to declare overdue ones lost.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.cluster import Cluster
@@ -253,8 +254,7 @@ class ResourceManager:
             req.preferred = tuple(n for n in req.preferred if n.node_id not in req.excluded)
         if request_id is not None:
             self._requests_by_id[request_id] = req
-        self._pending.append(req)
-        self._pending.sort()
+        insort(self._pending, req)
         self._match()
         return req.grant
 
@@ -350,25 +350,25 @@ class ResourceManager:
         # placed, so it skips the pick scan. A failing pick draws no
         # rng and grants only shrink free memory, so skipping changes
         # no grant and no rng draw. ``bound`` is exact until a grant,
-        # and is recomputed lazily after one.
+        # and is recomputed lazily after one. Granted and cancelled
+        # requests are dropped by one rebuild after the loop, which
+        # keeps the survivors in their sorted order.
         bound = self._max_usable_mb()
         exact = True
-        granted: list[_PendingRequest] = []
+        waiting: list[_PendingRequest] = []
         for req in self._pending:
             if req.cancelled:
-                granted.append(req)  # drop silently
-                continue
+                continue  # drop silently
             if not exact and req.memory_mb <= bound:
                 bound, exact = self._max_usable_mb(), True
             nm = self._pick_node(req) if req.memory_mb <= bound else None
             if nm is None:
+                waiting.append(req)
                 continue
             exact = False
-            container = nm.allocate(req.memory_mb)
-            granted.append(req)
-            self._deliver(req, container)
-        for req in granted:
-            self._pending.remove(req)
+            self._deliver(req, nm.allocate(req.memory_mb))
+        if len(waiting) != len(self._pending):
+            self._pending = waiting
 
     def _pick_node(self, req: _PendingRequest) -> NodeManager | None:
         for pref in req.preferred:
@@ -396,13 +396,10 @@ class ResourceManager:
             nm = self.node_managers.get(container.node.node_id)
             if nm is not None:
                 nm.release(container)
-            self._pending.append(
-                _PendingRequest(
-                    req.priority, next(self._seq), req.memory_mb,
-                    req.preferred, req.grant, excluded=req.excluded,
-                )
-            )
-            self._pending.sort()
+            insort(self._pending, _PendingRequest(
+                req.priority, next(self._seq), req.memory_mb,
+                req.preferred, req.grant, excluded=req.excluded,
+            ))
             self._match()
 
         def handout(sim=self.sim):

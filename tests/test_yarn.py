@@ -90,6 +90,31 @@ class TestAllocation:
         assert rm.available_mb() == 8192 - 2048
 
 
+class TestPendingQueue:
+    def test_interleaved_priorities_and_requeue_stay_sorted(self):
+        sim, cluster, rm = make_env(num_nodes=2, memory_mb=4096)
+        full = [sim.run(until=rm.request_container(4096)) for _ in range(2)]
+        grants = {}
+        for label, prio in [("a", 10.0), ("b", 5.0), ("c", 20.0), ("d", 5.0), ("e", 10.0)]:
+            grants[label] = rm.request_container(4096, priority=prio)
+        assert rm._pending == sorted(rm._pending)
+        # Free one node: "b" (first in queue order) is granted there,
+        # and the node crashes during the handout, so "b" is requeued
+        # behind the other priority-5 request with a fresh sequence.
+        victim = full[0].node
+        rm.release_container(full[0])
+        sim.run(until=sim.now + 0.5)
+        cluster.crash_node(victim)
+        for label, prio in [("f", 1.0), ("g", 10.0)]:
+            grants[label] = rm.request_container(4096, priority=prio)
+        sim.run(until=sim.now + 1.0)
+        assert rm._pending == sorted(rm._pending)
+        by_grant = {id(g): label for label, g in grants.items()}
+        order = [by_grant[id(req.grant)] for req in rm._pending]
+        assert order == ["f", "d", "b", "a", "e", "g", "c"]
+        assert not any(g.triggered for g in grants.values())
+
+
 class _PickEveryRequestRM(ResourceManager):
     """The matcher without the free-memory bound: every pending request
     goes through ``_pick_node``."""
