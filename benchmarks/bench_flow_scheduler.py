@@ -32,8 +32,10 @@ max-min rounds beat the incremental scheduler's per-flow python loop
 Numbers land in ``BENCH_flows.json`` at the repo root; the acceptance
 bar is >=5x events/sec on the 128-node wave and a flat cluster-scaling
 curve. ``--smoke`` (script mode, used by CI) runs the 8-node scenario
-under reference/incremental/columnar schedulers and asserts exact
-agreement without touching the JSON.
+under reference/incremental/columnar schedulers, then a 32-node cluster
+in 8 racks where every shuffle flow crosses ``core-switch`` (the single
+bottleneck of one cluster-wide component), and asserts exact agreement
+without touching the JSON.
 """
 
 import argparse
@@ -62,6 +64,10 @@ FANIN = 4
 HEAVY_SWEEP = [(512, 384), (4096, 768), (10000, 1024)]
 HEAVY_WINDOW = 384
 HEAVY_FANIN = 8
+#: Smoke multi-rack case: racks are assigned round-robin, so with more
+#: racks than FANIN every fetch crosses ``core-switch``.
+SMOKE_CORE_NODES = 32
+SMOKE_CORE_RACKS = 8
 
 
 def _driver(sim: Simulator, cluster: Cluster, waves: int, kill_wave: int,
@@ -92,7 +98,8 @@ def _driver(sim: Simulator, cluster: Cluster, waves: int, kill_wave: int,
 
 
 def run_scenario(scheduler: str, nodes: int, waves: int,
-                 window: int | None = None, fanin: int = FANIN) -> dict:
+                 window: int | None = None, fanin: int = FANIN,
+                 racks: int = 2) -> dict:
     """One full shuffle-wave scenario under the named scheduler."""
     previous = os.environ.get("REPRO_SCHEDULER")
     if scheduler == "incremental":  # the default: leave the knob unset
@@ -101,7 +108,7 @@ def run_scenario(scheduler: str, nodes: int, waves: int,
         os.environ["REPRO_SCHEDULER"] = scheduler
     try:
         sim = Simulator()
-        cluster = Cluster(sim, ClusterSpec(num_nodes=nodes, num_racks=2, seed=7))
+        cluster = Cluster(sim, ClusterSpec(num_nodes=nodes, num_racks=racks, seed=7))
         wave_ends: list = []
         t0 = time.perf_counter()
         done = sim.process(_driver(sim, cluster, waves, kill_wave=waves // 2,
@@ -152,7 +159,7 @@ def run_scaling(nodes: int, waves: int = 3, window: int = SCALING_WINDOW) -> dic
 
 
 def heavy_shuffle_row(nodes: int, waves: int = 2, window: int = HEAVY_WINDOW,
-                      fanin: int = HEAVY_FANIN) -> dict:
+                      fanin: int = HEAVY_FANIN, racks: int = 2) -> dict:
     """Columnar vs incremental on one heavy-shuffle component.
 
     Exact (==) agreement on end/wave times and event counts is asserted
@@ -160,8 +167,10 @@ def heavy_shuffle_row(nodes: int, waves: int = 2, window: int = HEAVY_WINDOW,
     allocations are bit-identical to the scalar ones.
     """
     window = min(window, nodes)
-    inc = run_scenario("incremental", nodes, waves, window=window, fanin=fanin)
-    col = run_scenario("columnar", nodes, waves, window=window, fanin=fanin)
+    inc = run_scenario("incremental", nodes, waves, window=window, fanin=fanin,
+                       racks=racks)
+    col = run_scenario("columnar", nodes, waves, window=window, fanin=fanin,
+                       racks=racks)
     assert col["finish_time"] == inc["finish_time"], (nodes, inc, col)
     assert col["wave_ends"] == inc["wave_ends"], (nodes, inc, col)
     assert col["model_events"] == inc["model_events"], (nodes, inc, col)
@@ -181,9 +190,9 @@ def heavy_shuffle_row(nodes: int, waves: int = 2, window: int = HEAVY_WINDOW,
     }
 
 
-def compare_schedulers(nodes: int, waves: int) -> dict:
-    ref = run_scenario("reference", nodes, waves)
-    inc = run_scenario("incremental", nodes, waves)
+def compare_schedulers(nodes: int, waves: int, racks: int = 2) -> dict:
+    ref = run_scenario("reference", nodes, waves, racks=racks)
+    inc = run_scenario("incremental", nodes, waves, racks=racks)
     # Exact (==) agreement: same simulated end time, same wave-end
     # times, same event counts. No tolerance — the incremental
     # scheduler is only a valid optimisation if it is bit-identical.
@@ -243,15 +252,20 @@ def test_flow_scheduler_throughput(report):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="8-node equivalence check only (CI); "
-                             "no BENCH_flows.json update")
+                        help="8-node and 32-node/8-rack equivalence checks "
+                             "only (CI); no BENCH_flows.json update")
     args = parser.parse_args(argv)
     if args.smoke:
         row = compare_schedulers(nodes=8, waves=3)
         heavy = heavy_shuffle_row(nodes=8, waves=2, window=8, fanin=4)
+        core = compare_schedulers(SMOKE_CORE_NODES, waves=2, racks=SMOKE_CORE_RACKS)
+        heavy_shuffle_row(SMOKE_CORE_NODES, waves=2, window=SMOKE_CORE_NODES,
+                          fanin=FANIN, racks=SMOKE_CORE_RACKS)
         print(f"smoke ok: {row['flows']} flows, completion times identical, "
               f"events/sec speedup {row['events_per_sec_speedup']}x; "
-              f"columnar identical on {heavy['flows']} heavy-shuffle flows")
+              f"columnar identical on {heavy['flows']} heavy-shuffle flows; "
+              f"{core['flows']} core-switch flows in {SMOKE_CORE_RACKS} racks identical "
+              f"under reference, incremental and columnar")
         return 0
     for nodes in NODE_COUNTS:
         row = compare_schedulers(nodes, 4 if nodes <= 32 else 2)

@@ -26,9 +26,13 @@ the dirtied flows and links. Max-min allocation decomposes across
 connected components, so untouched components keep their frozen rates —
 which are bit-identical to what a full recompute would reassign them.
 
-The filling loop itself scans only the component's resources per round
-(not the cluster's) and tracks flows by dense integer ids rather than
-``id()`` dictionaries.
+**Bucket-driven filling.** One walk from the dirty resources gathers
+the component; each round then freezes flows straight from the
+per-resource buckets the scheduler keeps in admission (fid) order, so
+the fill builds no user lists and sorts nothing. An exact share tie
+goes to the resource the reference's fid-ordered scan meets first, and
+a round whose bottleneck carries every unfrozen flow — usual when the
+``core-switch`` link couples a shuffle wave — ends the fill.
 
 This fluid model is standard in cluster simulators; it preserves the
 qualitative behaviour the reproduction needs (disk-bound merging,
@@ -112,8 +116,8 @@ class Flow:
         #: or fails with :class:`FlowCancelled`.
         self.done = done
         #: Dense per-scheduler integer id, assigned at admission;
-        #: monotone in admission order, so sorting fids recovers the
-        #: scheduler's flow ordering without touching the flow list.
+        #: monotone in admission order, so each per-resource bucket
+        #: (appended to at admission) stays in fid order.
         self.fid = -1
         self._rate = 0.0
         self._active = True
@@ -164,6 +168,14 @@ class Flow:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Flow {self.name} {self.remaining:.3g}/{self.size:.3g}B @{self._rate:.3g}B/s>"
+
+
+def _encounter_key(r: LinkResource, res_flows) -> tuple[int, int]:
+    """Where the reference's fid-ordered scan first meets ``r``: its
+    bucket's first (lowest-fid) flow, and ``r``'s place in that flow's
+    resources."""
+    fid, f = next(iter(res_flows[r].items()))
+    return fid, f.resources.index(r)
 
 
 class FlowScheduler:
@@ -362,7 +374,8 @@ class FlowScheduler:
         if dt <= 0:
             return
         for f in self._active.values():
-            f.remaining = max(0.0, f.remaining - f._rate * dt)
+            x = f.remaining - f._rate * dt
+            f.remaining = x if x > 0.0 else 0.0
 
     def _reshare(self, resource: LinkResource | None = None) -> None:
         """Re-run fairness after an external capacity change."""
@@ -420,37 +433,31 @@ class FlowScheduler:
         self._dirty_res = {}
         self.stats["recomputes"] += 1
         if self._active and dirty:
-            fids = self._component_fids(dirty)
-            if fids:
-                self._fill(fids)
+            self._fill(dirty)
         self._schedule_timer()
 
-    def _component_fids(self, dirty: Iterable[LinkResource]) -> set[int]:
-        """Flows in the connected component(s) reachable from the dirty
-        resources over the flow/resource bipartite graph."""
-        seen_res = set(dirty)
-        stack = list(seen_res)
-        fids: set[int] = set()
-        res_flows = self._res_flows
-        while stack:
-            r = stack.pop()
-            for fid, f in res_flows.get(r, {}).items():
-                if fid not in fids:
-                    fids.add(fid)
-                    for r2 in f.resources:
-                        if r2 not in seen_res:
-                            seen_res.add(r2)
-                            stack.append(r2)
-        return fids
+    def _fill(self, dirty: Iterable[LinkResource]) -> None:
+        """Progressive-filling max-min allocation over the component(s)
+        reachable from the dirty resources.
 
-    def _fill(self, fids: set[int]) -> None:
-        """Progressive-filling max-min allocation over one component.
+        One walk over the flow/resource bipartite graph collects the
+        component's flows and, per reached resource, its capacity and
+        flow count. The component is closed (every flow on a reached
+        resource is in it), so a resource's ``_res_flows`` bucket *is*
+        its user list, already in admission (fid) order: freeze rounds
+        iterate the bucket directly, and the subtractions land in the
+        same flow-major order as the reference's.
 
-        Bit-identical to a full recompute restricted to these flows:
-        resources are visited in first-encounter order over flows in
-        admission order, and each round's bottleneck is picked by the
-        same strictly-smaller linear scan as the reference scheduler —
-        just over the component's resources instead of the cluster's.
+        Each round's bottleneck is picked by the reference's
+        strictly-smaller linear scan. The walk meets resources in
+        stack order, not the reference's first-encounter order over
+        fid-sorted flows, so an exact share tie is broken by the
+        first-encounter key ``(fid of the bucket's first flow, index of
+        the resource in that flow's resources)`` — the earlier key
+        wins, as the earlier resource does in the reference scan.
+        When the bottleneck carries every unfrozen flow, the round
+        freezes them all and filling stops without the per-edge
+        updates nothing reads afterwards.
 
         (A lazy min-heap selection is tempting but wrong here: shares
         are monotone non-decreasing during filling only in exact
@@ -459,48 +466,58 @@ class FlowScheduler:
         can freeze resources in a different order than the reference —
         breaking bit-identical rates.)
         """
-        flows = [self._active[fid] for fid in sorted(fids)]
-        self.stats["recomputed_flows"] += len(flows)
+        res_flows = self._res_flows
+        cnt = {r: len(res_flows[r]) for r in dirty if r in res_flows}
+        unfrozen: dict[int, Flow] = {}
+        stack = list(cnt)
+        while stack:
+            for fid, f in res_flows[stack.pop()].items():
+                if fid not in unfrozen:
+                    unfrozen[fid] = f
+                    for r in f.resources:
+                        if r not in cnt:
+                            cnt[r] = len(res_flows[r])
+                            stack.append(r)
+        cap = {r: r._capacity for r in cnt}
+        self.stats["recomputed_flows"] += len(unfrozen)
 
-        users: dict[LinkResource, list[Flow]] = {}
-        remaining_cap: dict[LinkResource, float] = {}
-        counts: dict[LinkResource, int] = {}
-        for f in flows:
-            for r in f.resources:
-                bucket = users.get(r)
-                if bucket is None:
-                    users[r] = [f]
-                    remaining_cap[r] = r.capacity
-                    counts[r] = 1
-                else:
-                    bucket.append(f)
-                    counts[r] += 1
-
-        unfrozen = set(fids)
         rounds = 0
         while unfrozen:
             bottleneck: LinkResource | None = None
             best_share = math.inf
-            for r, cnt in counts.items():
-                if cnt > 0:
-                    share = max(remaining_cap[r], 0.0) / cnt
+            best_key = None
+            for r, n in cnt.items():
+                if n:
+                    c = cap[r]
+                    share = (c if c >= 0.0 else 0.0) / n
                     if share < best_share:
                         best_share = share
                         bottleneck = r
+                        best_key = None
+                    elif share == best_share:
+                        if best_key is None:
+                            best_key = _encounter_key(bottleneck, res_flows)
+                        key = _encounter_key(r, res_flows)
+                        if key < best_key:
+                            bottleneck = r
+                            best_key = key
             if bottleneck is None:  # pragma: no cover - defensive
+                for f in unfrozen.values():
+                    f._rate = 0.0
                 break
             rounds += 1
-            for f in users[bottleneck]:
-                fid = f.fid
-                if fid in unfrozen:
-                    unfrozen.discard(fid)
+            if cnt[bottleneck] == len(unfrozen):
+                for f in unfrozen.values():
                     f._rate = best_share
-                    for r2 in f.resources:
-                        remaining_cap[r2] -= best_share
-                        counts[r2] -= 1
-            counts[bottleneck] = 0
-        for fid in unfrozen:  # pragma: no cover - defensive
-            self._active[fid]._rate = 0.0
+                break
+            for fid, f in res_flows[bottleneck].items():
+                if fid in unfrozen:
+                    del unfrozen[fid]
+                    f._rate = best_share
+                    for r in f.resources:
+                        cap[r] -= best_share
+                        cnt[r] -= 1
+            cnt[bottleneck] = 0
         self.stats["filling_rounds"] += rounds
 
     def _schedule_timer(self) -> None:

@@ -248,10 +248,11 @@ class ColumnarFlowScheduler(FlowScheduler):
     def _fill_columns(self, slots: np.ndarray) -> None:
         """Vectorized progressive filling over one component slice.
 
-        Mirrors ``FlowScheduler._fill`` round for round: same flow
-        order (fid-sorted), same resource first-encounter order, same
-        first-strict-minimum bottleneck, same flow-major subtraction
-        order within a freeze round.
+        Freezes the same bottleneck sequence as ``FlowScheduler._fill``
+        (whose tie-break reproduces the reference's first-encounter
+        scan): flows in fid order, resources in first-encounter order,
+        the first strict minimum as bottleneck, and the same flow-major
+        subtraction order within a freeze round.
         """
         cols = self.columns
         order = np.argsort(cols.col("fid")[slots])

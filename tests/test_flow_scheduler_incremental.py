@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.cluster import Cluster, ClusterSpec
 from repro.sim import Simulator
 from repro.sim.core import Timeout
 from repro.sim.flows import FlowScheduler, LinkResource
@@ -266,3 +267,150 @@ def test_digest_identical_across_scheduler_swap():
                 os.environ["REPRO_SCHEDULER"] = previous
 
     assert one("reference") == one("")
+
+
+def test_equal_share_tie_breaks_by_first_encounter():
+    """Two resources reach exactly the same share, and the refill walk
+    meets them in the opposite order to the reference's first-encounter
+    order: only ``b`` is dirty when its capacity rises to match ``a``,
+    so the walk reaches ``b`` first, while the reference meets ``a``
+    first (on flow ``a1``). Freezing either first is max-min in exact
+    arithmetic, but the floats differ by an ulp —
+    ``(100 - 100/3) / 2 != 100/3`` — so only the first-encounter
+    tie-break reproduces the reference's rates."""
+
+    def run(sched_cls):
+        sim = Simulator()
+        sched = sched_cls(sim)
+        a = LinkResource("a", 100.0)
+        b = LinkResource("b", 50.0)
+        routes = (("a1", [a]), ("a2", [a]), ("ab", [a, b]), ("b1", [b]), ("b2", [b]))
+        flows = [sched.transfer(1000.0, res, name) for name, res in routes]
+        times: dict[str, float] = {}
+        for f in flows:
+            f.done._add_callback(lambda e, f=f: times.__setitem__(f.name, sim.now))
+        observed = []
+
+        def driver():
+            yield sim.timeout(1.0)
+            b.set_capacity(100.0)
+            observed.append({f.name: f.rate for f in flows})
+
+        sim.process(driver())
+        sim.run()
+        return observed[0], times
+
+    ref_rates, ref_times = run(ReferenceFlowScheduler)
+    inc_rates, inc_times = run(FlowScheduler)
+    # The premise: an exact 100/3 tie whose two freeze orders round
+    # differently, with ``a`` frozen first.
+    third = 100.0 / 3
+    assert (100.0 - third) / 2 != third
+    assert ref_rates == {"a1": third, "a2": third, "ab": third,
+                         "b1": (100.0 - third) / 2, "b2": (100.0 - third) / 2}
+    assert inc_rates == ref_rates
+    assert inc_times == ref_times
+
+
+def _core_switch_wave(scheduler: str):
+    """A shuffle wave on 16 nodes in 4 racks where every flow crosses
+    ``core-switch``, with one node's network stopped mid-wave. Returns
+    the rates after the first flush, the scheduler counters at that
+    point, and each flow's outcome (completion time or ``cancelled``)."""
+    from repro.cluster.node import MB
+
+    previous = os.environ.get("REPRO_SCHEDULER")
+    os.environ["REPRO_SCHEDULER"] = scheduler
+    try:
+        sim = Simulator()
+        cluster = Cluster(sim, ClusterSpec(num_nodes=16, num_racks=4, seed=3))
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SCHEDULER", None)
+        else:
+            os.environ["REPRO_SCHEDULER"] = previous
+    nodes = cluster.nodes
+    flows = []
+    with cluster.flows.batch():
+        for i, dst in enumerate(nodes):
+            # Racks are assigned round-robin, so (i + k) % 16 for k in
+            # 1..3 is always in another rack.
+            for k in (1, 2, 3):
+                src = nodes[(i + k) % len(nodes)]
+                size = MB * (16 + 8 * ((i + 3 * k) % 5))
+                flows.append(cluster.net_transfer(src, dst, size, name=f"s{i}.{k}"))
+    assert all(cluster.core_link in f.resources for f in flows)
+    first_rates = [f.rate for f in flows]
+    first_stats = dict(cluster.flows.stats)
+    outcome: dict[str, object] = {}
+    for f in flows:
+        f.done._add_callback(lambda e, f=f: outcome.__setitem__(
+            f.name, sim.now if e.ok else "cancelled"))
+
+    def driver():
+        yield sim.timeout(0.05)
+        cluster.stop_network(nodes[5])
+
+    sim.process(driver())
+    sim.run()
+    assert len(outcome) == len(flows)
+    return first_rates, first_stats, outcome
+
+
+def test_core_switch_wave_matches_reference_exactly():
+    """Cross-rack shuffle: ``core-switch`` couples every flow into one
+    component. Rates and completion times equal the reference's, and
+    the first refill — one bottleneck carrying all 48 flows — is one
+    filling round (the all-frozen early exit)."""
+    ref_rates, _, ref_outcome = _core_switch_wave("reference")
+    for scheduler in ("", "columnar"):
+        rates, _, outcome = _core_switch_wave(scheduler)
+        assert rates == ref_rates, scheduler
+        assert outcome == ref_outcome, scheduler
+    _, stats, outcome = _core_switch_wave("")
+    assert ref_rates == [ClusterSpec().core_bandwidth / 48] * 48
+    assert stats["recomputes"] == 1
+    assert stats["recomputed_flows"] == 48
+    assert stats["filling_rounds"] == 1
+    assert sum(v == "cancelled" for v in outcome.values()) == 6
+
+
+def test_res_flow_buckets_stay_in_fid_order():
+    """The refill iterates ``_res_flows`` buckets as admission-ordered
+    user lists: every bucket must hold exactly the active flows on its
+    resource, in ascending fid order, through interleaved transfers,
+    cancels, resource sweeps and completions."""
+    rng = random.Random(11)
+    sim = Simulator()
+    sched = FlowScheduler(sim)
+    resources = [LinkResource(f"r{j}", 100.0) for j in range(5)]
+
+    def check():
+        expected: dict = {}
+        for fid, f in sched._active.items():
+            for r in f.resources:
+                expected.setdefault(r, []).append(fid)
+        assert {r: list(bucket) for r, bucket in sched._res_flows.items()} == expected
+        for fids in expected.values():
+            assert fids == sorted(fids)
+
+    def driver():
+        for _ in range(120):
+            op = rng.random()
+            live = list(sched._active.values())
+            if op < 0.5 or not live:
+                route = rng.sample(resources, rng.randint(1, 3))
+                sched.transfer(rng.choice([20.0, 60.0, 150.0]), route)
+            elif op < 0.6:
+                sched.cancel(rng.choice(live), "scripted")
+            elif op < 0.7:
+                sched.cancel_flows_using(rng.choice(resources), "swept")
+            else:
+                yield sim.timeout(rng.random())
+            check()
+
+    sim.process(driver())
+    sim.run()
+    check()
+    assert sched.stats["completions"] > 10
+    assert sched.stats["cancels"] > 10
