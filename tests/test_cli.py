@@ -6,8 +6,15 @@ import json
 import pytest
 
 from repro.cli import main, parse_fault
-from repro.faults import NodeFault, SlowNodeFault, TaskFault
-from repro.faults.inject import MapWaveFault
+from repro.faults import (
+    AMFault,
+    MapWaveFault,
+    NodeFault,
+    PartitionFault,
+    RackFault,
+    SlowNodeFault,
+    TaskFault,
+)
 from repro.mapreduce.tasks import TaskType
 
 
@@ -40,6 +47,33 @@ class TestParseFault:
         f = parse_fault("slow@5:1:0.25")
         assert isinstance(f, SlowNodeFault)
         assert f.disk_factor == 0.25
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("reduce@0.5", TaskFault(TaskType.REDUCE, 0, 0.5)),
+        ("reduce@0.5:2", TaskFault(TaskType.REDUCE, 2, 0.5)),
+        ("map@0.3", TaskFault(TaskType.MAP, 0, 0.3)),
+        ("map@0.3:7", TaskFault(TaskType.MAP, 7, 0.3)),
+        ("node@0.4", NodeFault(target="reducer", at_progress=0.4)),
+        ("node@0.4:3", NodeFault(target=3, at_progress=0.4)),
+        ("nodetime@30", NodeFault(target="reducer", at_time=30.0)),
+        ("nodetime@30:map-only", NodeFault(target="map-only", at_time=30.0)),
+        ("maps@10:50", MapWaveFault(count=50, at_time=10.0)),
+        ("slow@5", SlowNodeFault(node_index=0, at_time=5.0)),
+        ("slow@5:1", SlowNodeFault(node_index=1, at_time=5.0)),
+        ("slow@5:1:0.25", SlowNodeFault(node_index=1, at_time=5.0, disk_factor=0.25)),
+        ("partition@10:3", PartitionFault(node_indices=(3,), at_time=10.0,
+                                          duration=30.0)),
+        ("partition@10:1,2:45", PartitionFault(node_indices=(1, 2), at_time=10.0,
+                                               duration=45.0)),
+        ("am@0.5", AMFault(at_progress=0.5)),
+        ("am@0.5:2", AMFault(at_progress=0.5, repeat=2)),
+        ("amtime@40", AMFault(at_time=40.0)),
+        ("rack@20", RackFault(rack_index=0, at_time=20.0, mode="crash")),
+        ("rack@20:1", RackFault(rack_index=1, at_time=20.0, mode="crash")),
+        ("rack@20:1:network", RackFault(rack_index=1, at_time=20.0, mode="network")),
+    ])
+    def test_every_form_builds_its_injector(self, spec, expected):
+        assert parse_fault(spec) == expected
 
     def test_bad_specs_rejected(self):
         for bad in ("meteor@1", "reduce", "node@x", "maps@1"):
