@@ -5,8 +5,8 @@ log progress so recovery resumes instead of repeating — applied to our
 own harness: a sqlite-backed trial store (:mod:`~repro.campaign.store`)
 records every trial as it completes, a scheduler
 (:mod:`~repro.campaign.scheduler`) drains trial queues through the
-:class:`~repro.runner.TrialRunner` pools with fifo/priority/dependency
-strategies, and campaign kinds (:mod:`~repro.campaign.plans`) rebuild a
+:class:`~repro.runner.TrialRunner` pools in submission order, and
+campaign kinds (:mod:`~repro.campaign.plans`) rebuild a
 runnable plan from nothing but the stored spec, so
 
     python -m repro campaign resume --store sweeps.db
@@ -21,16 +21,10 @@ from repro.campaign.plans import (
     build_plan,
     resolve_function,
 )
-from repro.campaign.scheduler import (
-    STRATEGIES,
-    CampaignPlan,
-    CampaignScheduler,
-    TrialSpec,
-)
+from repro.campaign.scheduler import CampaignPlan, CampaignScheduler, TrialSpec
 from repro.campaign.store import CampaignStore, StoreError
 
 __all__ = [
-    "STRATEGIES",
     "CampaignPlan",
     "CampaignScheduler",
     "CampaignStore",

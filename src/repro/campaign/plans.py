@@ -14,9 +14,8 @@ Kinds:
     (:mod:`repro.verify.differential`): a ``jobs`` list of
     ``[scenario, kernel, scheduler, mutate]`` rows;
 ``function``
-    any module-level ``fn(seed, **kwargs)`` named by dotted path, with
-    optional per-seed ``priority`` and ``depends_on`` maps — the
-    generic surface the scheduler strategies are exercised through.
+    any module-level ``fn(seed, **kwargs)`` named by dotted path, run
+    over a ``seeds`` list in order.
 """
 
 from __future__ import annotations
@@ -101,17 +100,19 @@ def _matrix_plan(spec: dict[str, Any]) -> CampaignPlan:
 
 
 def _function_plan(spec: dict[str, Any]) -> CampaignPlan:
+    stale = [key for key in ("priority", "depends_on") if key in spec]
+    if stale:
+        raise StoreError(
+            f"function campaign spec carries {', '.join(stale)}: trials run "
+            "in submission order, so scheduling keys are no longer accepted")
     fn = resolve_function(spec["fn"])
     seeds = [int(s) for s in spec["seeds"]]
-    priority = {int(k): int(v) for k, v in (spec.get("priority") or {}).items()}
-    depends = {int(k): tuple(int(d) for d in v)
-               for k, v in (spec.get("depends_on") or {}).items()}
     return CampaignPlan(
         spec=dict(spec, kind="function"),
         experiment=spec.get("experiment", spec["fn"]),
         fn=fn,
         kwargs=dict(spec.get("kwargs") or {}),
-        trials=[TrialSpec(s, priority.get(s, 0), depends.get(s, ())) for s in seeds],
+        trials=[TrialSpec(s) for s in seeds],
     )
 
 

@@ -1,19 +1,8 @@
 """The campaign scheduler: drain a queue of trial specs through the
-:class:`~repro.runner.TrialRunner` pools, checkpointing every completed
-trial into the :class:`~repro.campaign.store.CampaignStore` so a killed
-campaign resumes from where it died and re-runs nothing.
-
-Strategies (after AWorld's ``ScheduledTask`` shapes):
-
-``fifo``
-    submission order — the chaos/verify default;
-``priority``
-    higher :attr:`TrialSpec.priority` first (stable within a priority);
-``dependency``
-    only trials whose ``depends_on`` seeds are complete are dispatched,
-    ready trials ordered by priority then submission; an unsatisfiable
-    queue (cycle or dangling dependency) is a hard error naming the
-    stuck seeds.
+:class:`~repro.runner.TrialRunner` pools, in submission order,
+checkpointing every completed trial into the
+:class:`~repro.campaign.store.CampaignStore` so a killed campaign
+resumes from where it died and re-runs nothing.
 
 Dispatch happens in bounded *waves* (``batch_size``, default scaled to
 the runner's parallelism): the checkpoint granularity under parallel
@@ -30,19 +19,15 @@ from typing import Any, Callable
 from repro.campaign.store import CampaignStore, StoreError
 from repro.runner import TrialRunner, spec_digest
 
-__all__ = ["CampaignScheduler", "StoreError", "STRATEGIES", "TrialSpec"]
-
-STRATEGIES = ("fifo", "priority", "dependency")
+__all__ = ["CampaignScheduler", "StoreError", "TrialSpec"]
 
 
 @dataclass(frozen=True)
 class TrialSpec:
     """One schedulable trial: the seed passed to the campaign's trial
-    function, plus scheduling metadata."""
+    function."""
 
     seed: int
-    priority: int = 0
-    depends_on: tuple[int, ...] = ()
 
 
 @dataclass
@@ -79,15 +64,10 @@ class CampaignScheduler:
         self,
         store: CampaignStore,
         runner: TrialRunner | None = None,
-        strategy: str = "fifo",
         batch_size: int | None = None,
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise StoreError(
-                f"unknown scheduling strategy {strategy!r}; choose from {STRATEGIES}")
         self.store = store
         self.runner = runner or TrialRunner()
-        self.strategy = strategy
         self.batch_size = batch_size or max(16, 4 * self.runner.jobs)
 
     # -- public API ---------------------------------------------------------
@@ -104,7 +84,7 @@ class CampaignScheduler:
         self.store.register(campaign_id, plan.spec)
 
         done = self.store.completed_seeds(campaign_id)
-        queue = [t for t in plan.trials if t.seed not in done]
+        queue = [t.seed for t in plan.trials if t.seed not in done]
         skipped = len(plan.trials) - len(queue)
         executed = 0
         t0 = time.perf_counter()
@@ -117,12 +97,11 @@ class CampaignScheduler:
                 executed += 1
 
         try:
-            while queue:
-                batch = self._take_batch(queue, done)
-                self.runner.run(plan.experiment, plan.fn,
-                                [t.seed for t in batch], plan.kwargs,
+            for start in range(0, len(queue), self.batch_size):
+                batch = queue[start:start + self.batch_size]
+                self.runner.run(plan.experiment, plan.fn, batch, plan.kwargs,
                                 on_result=on_result)
-                done.update(t.seed for t in batch)
+                done.update(batch)
                 echo(f"  campaign {campaign_id[:12]}: "
                      f"{len(done)}/{len(plan.trials)} trials done")
         except KeyboardInterrupt:
@@ -138,7 +117,6 @@ class CampaignScheduler:
         return {
             "campaign_id": campaign_id,
             "experiment": plan.experiment,
-            "strategy": self.strategy,
             "trials": len(plan.trials),
             "executed": executed,
             "skipped": skipped,
@@ -146,31 +124,3 @@ class CampaignScheduler:
             "trials_per_sec": round(executed / wall, 3) if wall > 0 else 0.0,
             "status": "complete",
         }
-
-    # -- strategies ---------------------------------------------------------
-    def _take_batch(self, queue: list[TrialSpec], done: set[int]) -> list[TrialSpec]:
-        """Pop the next wave off ``queue`` per the strategy. ``queue``
-        holds only not-yet-completed trials, in submission order."""
-        if self.strategy == "fifo":
-            batch, queue[:] = queue[:self.batch_size], queue[self.batch_size:]
-            return batch
-        if self.strategy == "priority":
-            order = sorted(range(len(queue)),
-                           key=lambda i: (-queue[i].priority, i))
-            picks = order[:self.batch_size]
-            batch = [queue[i] for i in picks]
-            queue[:] = [t for i, t in enumerate(queue) if i not in set(picks)]
-            return batch
-        # dependency: only trials whose deps are all complete are ready.
-        ready = [i for i, t in enumerate(queue)
-                 if all(dep in done for dep in t.depends_on)]
-        if not ready:
-            stuck = ", ".join(str(t.seed) for t in queue[:8])
-            raise StoreError(
-                f"dependency deadlock: no runnable trial among {len(queue)} "
-                f"pending (cycle or dangling dependency; stuck seeds: {stuck})")
-        order = sorted(ready, key=lambda i: (-queue[i].priority, i))
-        picks = set(order[:self.batch_size])
-        batch = [queue[i] for i in order[:self.batch_size]]
-        queue[:] = [t for i, t in enumerate(queue) if i not in picks]
-        return batch

@@ -59,21 +59,11 @@ import sys
 
 from repro.cluster import ClusterSpec
 from repro.experiments import format_table
-from repro.experiments.common import make_policy
-from repro.faults import (
-    AMFault,
-    PartitionFault,
-    RackFault,
-    SlowNodeFault,
-    TaskFault,
-    kill_maps_at_time,
-    kill_node_at_progress,
-    kill_node_at_time,
-)
+from repro.faults.chaos import build_fault
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import MapReduceRuntime
-from repro.mapreduce.tasks import TaskType
 from repro.metrics import export_result_json, failure_timeline, progress_curve, task_gantt
+from repro.policies import make_policy
 from repro.workloads import BENCHMARKS
 
 __all__ = ["main", "parse_fault"]
@@ -93,51 +83,43 @@ _EXPERIMENTS = (
 
 
 def parse_fault(spec: str):
-    """Parse one ``--fault`` spec string into an injector."""
+    """Parse one ``--fault`` spec string into an injector, by way of the
+    chaos JSON fault dict it stands for."""
     try:
         kind, rest = spec.split("@", 1)
         parts = rest.split(":")
-        if kind == "reduce":
-            return TaskFault(TaskType.REDUCE, int(parts[1]) if len(parts) > 1 else 0,
-                             float(parts[0]))
-        if kind == "map":
-            return TaskFault(TaskType.MAP, int(parts[1]) if len(parts) > 1 else 0,
-                             float(parts[0]))
-        if kind == "node":
-            target = _node_target(parts[1] if len(parts) > 1 else "reducer")
-            return kill_node_at_progress(float(parts[0]), target=target)
-        if kind == "nodetime":
-            target = _node_target(parts[1] if len(parts) > 1 else "reducer")
-            return kill_node_at_time(float(parts[0]), target=target)
-        if kind == "maps":
-            return kill_maps_at_time(int(parts[1]), at_time=float(parts[0]))
-        if kind == "slow":
-            factor = float(parts[2]) if len(parts) > 2 else 0.1
-            return SlowNodeFault(node_index=int(parts[1]) if len(parts) > 1 else 0,
-                                 at_time=float(parts[0]), disk_factor=factor)
-        if kind == "partition":
-            indices = tuple(int(i) for i in parts[1].split(","))
-            duration = float(parts[2]) if len(parts) > 2 else 30.0
-            return PartitionFault(node_indices=indices, at_time=float(parts[0]),
-                                  duration=duration)
-        if kind == "am":
-            repeat = int(parts[1]) if len(parts) > 1 else 1
-            return AMFault(at_progress=float(parts[0]), repeat=repeat)
-        if kind == "amtime":
-            return AMFault(at_time=float(parts[0]))
-        if kind == "rack":
-            mode = parts[2] if len(parts) > 2 else "crash"
-            return RackFault(rack_index=int(parts[1]) if len(parts) > 1 else 0,
-                             at_time=float(parts[0]), mode=mode)
+        at = float(parts[0])
+        arg = parts[1] if len(parts) > 1 else None
+        opt = parts[2] if len(parts) > 2 else None
+        if kind in ("reduce", "map"):
+            d = {"kind": "task-oom", "task_type": kind, "at_progress": at,
+                 "task_index": int(arg or 0)}
+        elif kind in ("node", "nodetime"):
+            target = arg or "reducer"
+            d = {"kind": "node-network",
+                 "target": target if target in ("reducer", "map-only") else int(target)}
+            d["at_progress" if kind == "node" else "at_time"] = at
+        elif kind == "maps":
+            d = {"kind": "map-wave", "at_time": at, "count": int(parts[1])}
+        elif kind == "slow":
+            d = {"kind": "degraded", "at_time": at, "node_index": int(arg or 0),
+                 "disk_factor": float(opt or 0.1)}
+        elif kind == "partition":
+            d = {"kind": "partition", "at_time": at,
+                 "node_indices": [int(i) for i in parts[1].split(",")],
+                 "duration": float(opt or 30.0)}
+        elif kind == "am":
+            d = {"kind": "am-crash", "at_progress": at, "repeat": int(arg or 1)}
+        elif kind == "amtime":
+            d = {"kind": "am-crash", "at_time": at}
+        elif kind == "rack":
+            d = {"kind": "rack", "at_time": at, "rack_index": int(arg or 0),
+                 "mode": opt or "crash"}
+        else:
+            raise argparse.ArgumentTypeError(f"unknown fault kind in {spec!r}")
+        return build_fault(d)
     except (ValueError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"bad fault spec {spec!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(f"unknown fault kind in {spec!r}")
-
-
-def _node_target(text: str):
-    if text in ("reducer", "map-only"):
-        return text
-    return int(text)
 
 
 def _parse_policies(text: str | None) -> tuple[str, ...] | None:
@@ -250,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="include AM-crash and lossy-RPC archetypes")
     c_submit.add_argument("--policies", metavar="LIST", default=None,
                           help="comma-separated policy roster, or 'all'")
-    c_submit.add_argument("--strategy", default="fifo",
-                          choices=("fifo", "priority", "dependency"))
     c_submit.add_argument("--jobs", type=int, default=None, metavar="N",
                           help="fan trials across N worker processes")
     c_submit.add_argument("--out", metavar="DIR", default=None,
@@ -263,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c_resume.add_argument("--id", default=None, metavar="PREFIX",
                           help="campaign id prefix (default: the most "
                                "recently updated incomplete campaign)")
-    c_resume.add_argument("--strategy", default="fifo",
-                          choices=("fifo", "priority", "dependency"))
     c_resume.add_argument("--jobs", type=int, default=None, metavar="N")
     c_resume.add_argument("--out", metavar="DIR", default=None)
     c_resume.add_argument("--no-minimize", action="store_true")
@@ -289,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="quick-tagged scenarios on 2 matrix corners "
                                "plus golden check (tier-1 budget)")
     p_verify.add_argument("--matrix", action="store_true",
-                          help="full corpus across all 4 kernel x scheduler "
-                               "combinations plus golden check")
+                          help="full corpus across every kernel x scheduler "
+                               "combination plus golden check")
     p_verify.add_argument("--metamorphic", action="store_true",
                           help="metamorphic relations only")
     p_verify.add_argument("--refresh-golden", action="store_true",
@@ -561,7 +539,7 @@ def _campaign_run_spec(spec, args) -> int:
                 scale=spec.get("scale", 1.0),
                 out_dir=getattr(args, "out", None),
                 minimize=not getattr(args, "no_minimize", False),
-                store=args.store, strategy=getattr(args, "strategy", "fifo"),
+                store=args.store,
                 am_faults=bool(spec.get("am_faults", False)),
                 policies=spec.get("policies"))
             _print_chaos_summary(summary)
@@ -569,8 +547,7 @@ def _campaign_run_spec(spec, args) -> int:
             return 1 if summary["violations"] else 0
         with CampaignStore(args.store) as store:
             plan = build_plan(spec)
-            stats = CampaignScheduler(
-                store, strategy=getattr(args, "strategy", "fifo")).run(plan)
+            stats = CampaignScheduler(store).run(plan)
             agg = aggregate_payloads(spec["kind"], store.payloads(stats["campaign_id"]))
         print(f"campaign {stats['campaign_id'][:12]} ({spec['kind']}): "
               f"{stats['trials']} trials, {stats['executed']} executed, "

@@ -37,9 +37,11 @@ from repro.faults.inject import (
     TaskFault,
 )
 from repro.faults.stragglers import SlowNodeFault
+from repro.hdfs.hdfs import HdfsConfig
 from repro.mapreduce.config import JobConf
 from repro.mapreduce.job import MapReduceRuntime
 from repro.mapreduce.tasks import TaskType
+from repro.policies import make_policy
 from repro.sim.core import SimulationError
 from repro.workloads import BENCHMARKS
 from repro.yarn.rm import YarnConfig
@@ -55,6 +57,7 @@ __all__ = [
     "run_campaign",
     "run_chaos_trial",
     "run_trial_spec",
+    "runtime_from_spec",
 ]
 
 #: Every recovery policy under test, rotated across trial indices.
@@ -245,7 +248,7 @@ def _sample_faults(kind: str, rng: np.random.Generator,
 
 def _sample_rpc_loss(rng: np.random.Generator) -> dict[str, Any]:
     """A lossy-RPC 'fault': not an injector but a YarnConfig overlay —
-    :func:`run_trial_spec` translates it into channel knobs. Keeping it
+    :func:`runtime_from_spec` translates it into channel knobs. Keeping it
     in the fault list makes reproducers self-contained and lets
     minimization drop it like any other fault."""
     return {
@@ -319,16 +322,17 @@ def build_fault(d: dict[str, Any]):
 
 # -- execution ---------------------------------------------------------------
 
-def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
-    """Run one fully-specified trial; returns outcome + violations."""
-    from repro.experiments.common import make_policy
-    from repro.invariants import check_invariants, state_probe
-    from repro.runner import trace_digest
+def runtime_from_spec(spec: dict[str, Any], seed: int,
+                      job_name: str) -> MapReduceRuntime:
+    """Build the runtime a trial spec describes, faults installed, not
+    yet run. The one reader of the spec language: chaos trials, verify
+    scenarios and the end-to-end benchmark all come through here.
 
+    ``rpc-loss`` faults are YarnConfig overlays, not injectors; an
+    explicit ``spec["rpc"]`` block (the scenario corpus) applies on top.
+    """
     wl = BENCHMARKS[spec["workload"]](spec["input_gb"],
                                       num_reducers=spec["reducers"])
-    # rpc-loss "faults" are YarnConfig overlays, not injectors; an
-    # explicit spec["rpc"] block (scenario corpus) applies on top.
     rpc_kwargs: dict[str, Any] = {}
     fault_dicts: list[dict[str, Any]] = []
     for d in spec["faults"]:
@@ -346,12 +350,24 @@ def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
         wl,
         conf=JobConf(**spec["conf"]) if spec.get("conf") else None,
         cluster_spec=ClusterSpec(num_nodes=spec["nodes"], num_racks=spec["racks"],
-                                 seed=spec["runtime_seed"]),
+                                 seed=seed),
         yarn_config=YarnConfig(nm_liveness_timeout=spec["liveness"], **rpc_kwargs),
+        hdfs_config=HdfsConfig(replication=spec.get("replication", 2)),
         policy=make_policy(spec["policy"]),
-        job_name=f"chaos-{spec['index']}",
+        job_name=job_name,
+        speculation=bool(spec.get("speculation", False)),
+        trace_detail=bool(spec.get("trace_detail", False)),
     )
     FaultInjector(*[build_fault(d) for d in fault_dicts]).install(rt)
+    return rt
+
+
+def run_trial_spec(spec: dict[str, Any]) -> dict[str, Any]:
+    """Run one fully-specified trial; returns outcome + violations."""
+    from repro.invariants import check_invariants, state_probe
+    from repro.runner import trace_digest
+
+    rt = runtime_from_spec(spec, spec["runtime_seed"], f"chaos-{spec['index']}")
     result = rt.run(timeout=spec.get("hard_timeout", 100_000.0),
                     stall_timeout=spec.get("stall_timeout", 2_000.0))
     violations = check_invariants(rt, result)
@@ -427,7 +443,6 @@ def run_campaign(
     minimize: bool = True,
     echo=print,
     store: Any = None,
-    strategy: str = "fifo",
     am_faults: bool = False,
     policies: tuple[str, ...] | list[str] | None = None,
 ) -> dict[str, Any]:
@@ -468,7 +483,7 @@ def run_campaign(
     opened = CampaignStore(store if store is not None else ":memory:") \
         if owns_store else store
     try:
-        scheduler = CampaignScheduler(opened, strategy=strategy)
+        scheduler = CampaignScheduler(opened)
         run_stats = scheduler.run(plan)
         campaign_id = run_stats["campaign_id"]
         summary = aggregate_chaos(opened.payloads(campaign_id))

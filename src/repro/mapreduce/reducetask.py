@@ -294,7 +294,6 @@ class ReduceAttempt(TaskAttempt):
 
     def _account_success(self, node_id: int, batch: dict[int, MapOutput], size: float,
                          to_disk: bool) -> None:
-        conf = self.am.conf
         pending = self.host_pending.get(node_id, {})
         for mid in batch:
             pending.pop(mid, None)

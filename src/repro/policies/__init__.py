@@ -31,8 +31,7 @@ Drop the module into ``src/repro/policies/`` (discovered via
 imports it on first use. Factories may declare optional keyword
 tuning knobs; :func:`make_policy` passes through only the kwargs a
 factory declares, so callers can offer one kwargs namespace across
-the whole zoo (the historical ``experiments.common.make_policy``
-contract).
+the whole zoo (the experiment drivers' ``policy_kwargs``).
 
 Determinism rules: a policy must not consume wall-clock time or
 unseeded randomness, and everything it does must flow through the
@@ -154,8 +153,7 @@ def make_policy(name: str, **kwargs: Any):
 
     ``kwargs`` is a shared tuning namespace: each factory receives only
     the keywords it declares (so ``make_policy("yarn", fcm_cap=3)`` is
-    legal and ignores the knob, exactly as the pre-registry
-    ``experiments.common.make_policy`` behaved).
+    legal and ignores the knob).
     """
     _discover()
     spec = _REGISTRY.get(name)

@@ -1,5 +1,5 @@
-"""The durable campaign layer: store semantics, scheduler strategies,
-plan building, and the crash-durability primitives (atomic writes, torn
+"""The durable campaign layer: store semantics, the scheduler, plan
+building, and the crash-durability primitives (atomic writes, torn
 file recovery, corrupt-store quarantine)."""
 
 import json
@@ -8,7 +8,6 @@ import os
 import pytest
 
 from repro.campaign import (
-    STRATEGIES,
     CampaignPlan,
     CampaignScheduler,
     CampaignStore,
@@ -26,16 +25,14 @@ def _toy_trial(seed, offset=0):
     return {"value": seed * seed + offset, "success": True, "digest": f"d{seed}"}
 
 
-def _toy_plan(seeds, priority=None, depends=None, experiment="toy"):
+def _toy_plan(seeds, experiment="toy"):
     return CampaignPlan(
         spec={"kind": "function", "fn": "tests.test_campaign:_toy_trial",
               "experiment": experiment, "seeds": list(seeds)},
         experiment=experiment,
         fn=_toy_trial,
         kwargs={},
-        trials=[TrialSpec(s, (priority or {}).get(s, 0),
-                          tuple((depends or {}).get(s, ())))
-                for s in seeds],
+        trials=[TrialSpec(s) for s in seeds],
     )
 
 
@@ -143,43 +140,8 @@ class TestScheduler:
     def test_fifo_runs_in_submission_order(self):
         with CampaignStore() as store:
             plan = _toy_plan([5, 3, 9, 1])
-            CampaignScheduler(store, strategy="fifo").run(plan)
+            CampaignScheduler(store).run(plan)
             assert _completion_order(store, plan.campaign_id()) == [5, 3, 9, 1]
-
-    def test_priority_runs_high_first(self):
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2, 3, 4], priority={2: 5, 4: 9})
-            CampaignScheduler(store, strategy="priority").run(plan)
-            assert _completion_order(store, plan.campaign_id()) == [4, 2, 1, 3]
-
-    def test_dependency_respects_deps_across_batches(self):
-        with CampaignStore() as store:
-            # 1 depends on 3, 3 depends on 2: only 2 is initially ready.
-            plan = _toy_plan([1, 2, 3], depends={1: (3,), 3: (2,)})
-            CampaignScheduler(store, strategy="dependency", batch_size=1).run(plan)
-            assert _completion_order(store, plan.campaign_id()) == [2, 3, 1]
-
-    def test_dependency_deadlock_names_stuck_seeds(self):
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2], depends={1: (2,), 2: (1,)})
-            with pytest.raises(StoreError, match="deadlock"):
-                CampaignScheduler(store, strategy="dependency").run(plan)
-
-    def test_dependency_satisfied_by_stored_trials(self):
-        """A dependency completed in a *previous* (killed) run counts:
-        resume must not deadlock on already-done prerequisites."""
-        with CampaignStore() as store:
-            plan = _toy_plan([1, 2], depends={2: (1,)})
-            store.register(plan.campaign_id(), plan.spec)
-            store.record_trial(plan.campaign_id(), 1, _toy_trial(1))
-            summary = CampaignScheduler(store, strategy="dependency").run(plan)
-            assert summary["executed"] == 1 and summary["skipped"] == 1
-
-    def test_unknown_strategy_rejected(self):
-        with CampaignStore() as store:
-            with pytest.raises(StoreError, match="strategy"):
-                CampaignScheduler(store, strategy="random")
-        assert set(STRATEGIES) == {"fifo", "priority", "dependency"}
 
     def test_unnameable_fn_is_not_durable(self):
         plan = CampaignPlan(spec={}, experiment="bad", fn=lambda s: {}, kwargs={})
@@ -232,12 +194,17 @@ class TestPlans:
         assert rebuilt.campaign_id() == plan.campaign_id()
         assert [t.seed for t in rebuilt.trials] == [0, 1, 2, 3, 4]
 
-    def test_function_plan_carries_priority_and_deps(self):
-        plan = build_plan({
-            "kind": "function", "fn": "tests.test_campaign:_toy_trial",
-            "seeds": [1, 2], "priority": {"2": 7}, "depends_on": {"2": [1]},
-        })
-        assert plan.trials[1] == TrialSpec(2, 7, (1,))
+    def test_function_plan_runs_seeds_in_order(self):
+        plan = build_plan({"kind": "function", "fn": "tests.test_campaign:_toy_trial",
+                           "seeds": [3, 1, 2]})
+        assert plan.trials == [TrialSpec(3), TrialSpec(1), TrialSpec(2)]
+
+    @pytest.mark.parametrize("key,value", [("priority", {"2": 7}),
+                                           ("depends_on", {"2": [1]})])
+    def test_function_plan_rejects_scheduling_keys(self, key, value):
+        with pytest.raises(StoreError, match=key):
+            build_plan({"kind": "function", "fn": "tests.test_campaign:_toy_trial",
+                        "seeds": [1, 2], key: value})
 
     def test_matrix_plan_round_trips_jobs(self):
         jobs = [["clean-terasort-yarn", "default", "default", ""]]

@@ -4,7 +4,6 @@ run with zero re-executed trials — the harness-level version of the
 paper's no-restart-from-scratch recovery contract."""
 
 import os
-import signal
 import sqlite3
 import subprocess
 import sys

@@ -75,7 +75,7 @@ class TestFaultIsolation:
         sc = shared()
         victim = sc.submit(tiny_workload(reducers=1, reduce_cpu=0.1, name="v"),
                            job_name="victim")
-        bystander = sc.submit(tiny_workload(name="b"), job_name="bystander")
+        sc.submit(tiny_workload(name="b"), job_name="bystander")
         victim.install(kill_reduce_at_progress(0.7))
         rv, rb = sc.run_all()
         assert rv.success and rb.success
@@ -86,9 +86,9 @@ class TestFaultIsolation:
         sc = shared(nodes=8)
         a = sc.submit(tiny_workload(input_mb=1024, reducers=2,
                                     reduce_cpu=0.1, name="a"), job_name="a")
-        b = sc.submit(tiny_workload(input_mb=1024, reducers=2,
-                                    reduce_cpu=0.1, name="b"), job_name="b",
-                      policy=ALMPolicy())
+        sc.submit(tiny_workload(input_mb=1024, reducers=2,
+                                reduce_cpu=0.1, name="b"), job_name="b",
+                  policy=ALMPolicy())
         a.install(kill_node_at_progress(0.3, target="reducer"))
         ra, rb = sc.run_all()
         assert ra.success and rb.success
@@ -98,8 +98,8 @@ class TestFaultIsolation:
 
     def test_per_job_policies(self):
         sc = shared()
-        a = sc.submit(tiny_workload(name="a"), job_name="a")
-        b = sc.submit(tiny_workload(name="b"), job_name="b", policy=ALMPolicy())
+        sc.submit(tiny_workload(name="a"), job_name="a")
+        sc.submit(tiny_workload(name="b"), job_name="b", policy=ALMPolicy())
         ra, rb = sc.run_all()
         assert ra.policy == "yarn"
         assert rb.policy == "alm"

@@ -56,7 +56,6 @@ class TestReduceExecution:
 
     def test_reduce_progress_monotone(self):
         rt = make_runtime(tiny_workload(reducers=1))
-        samples = []
 
         def probe():
             vals = [a.progress for t in rt.am.reduce_tasks for a in t.running_attempts()]
@@ -76,7 +75,6 @@ class TestAppMaster:
         rt = make_runtime(tiny_workload(input_mb=1024), conf=conf)
         rt.run()
         first_reduce = rt.trace.first("attempt_start", type="reduce")
-        map_starts = rt.trace.times("attempt_start")
         assert first_reduce is not None
         # At least 90% of maps completed before any reducer started.
         completed_before = sum(

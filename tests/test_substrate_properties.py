@@ -100,8 +100,8 @@ class TestYarnSchedulerProperties:
         cluster = Cluster(sim, ClusterSpec(num_nodes=4, num_racks=2,
                                            node=NodeSpec(memory_mb=8192), seed=seed))
         rm = ResourceManager(sim, cluster, YarnConfig(nm_memory_fraction=1.0))
-        grants = [rm.request_container(mem, priority=prio)
-                  for mem, prio in requests]
+        for mem, prio in requests:
+            rm.request_container(mem, priority=prio)
         sim.run(until=100.0)
         for nm in rm.node_managers.values():
             assert 0 <= nm.used_mb <= nm.capacity_mb
